@@ -89,6 +89,21 @@ impl RfHarness {
         self.cursor = self.sim.now() + self.op_gap;
     }
 
+    /// Returns the register file to its as-built state: the simulator is
+    /// [reset](Simulator::reset) (cell state, queue, clock, counters,
+    /// violations, probe traces, fault plan and violation policy) and the
+    /// operation cursor rewinds to the first slot. The elaborated netlist,
+    /// probe registrations and compiled tables are kept, so batch
+    /// analyses run many independent trials on one build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell of the netlist has no lowering.
+    pub fn reset(&mut self) {
+        self.sim.reset();
+        self.cursor = Time::from_ps(FIRST_OP_PS);
+    }
+
     /// Cell census of the elaborated netlist.
     pub fn census(&self) -> Census {
         Census::of(self.sim.netlist())
@@ -222,12 +237,13 @@ impl RfHarness {
 
 /// Aggregate scheduler statistics over a *batch* of register-file runs.
 ///
-/// [`SimStats`] is per-[`Simulator`], and batch analyses (margin sweeps,
-/// Monte Carlo yield, the job server's sharded trials) build one simulator
-/// per trial — so per-harness counters alone under-report the work behind
-/// a job. `BatchStats` rolls runs up as they finish: event counts and
-/// simulated time add, peak queue depth takes the max across runs. The
-/// serve layer reports these per job without re-walking any traces.
+/// [`SimStats`] is per-run, and batch analyses (margin sweeps, Monte Carlo
+/// yield, the job server's sharded trials) run many simulations — on
+/// fresh or [reset](RegisterFile::reset) register files — so one run's
+/// counters alone under-report the work behind a job. `BatchStats` rolls
+/// runs up as they finish: event counts and simulated time add, peak queue
+/// depth takes the max across runs. The serve layer reports these per job
+/// without re-walking any traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Register-file runs absorbed.
@@ -408,5 +424,20 @@ pub trait RegisterFile {
     /// tables) now, so the first operation runs on a warm engine.
     fn prepare(&mut self) {
         self.harness_mut().prepare();
+    }
+
+    /// Returns the register file to its as-built state, keeping the
+    /// elaborated netlist and compiled tables (see [`RfHarness::reset`]).
+    /// A reset file behaves byte for byte like a freshly built one.
+    ///
+    /// Designs whose driver keeps no state outside the harness (every
+    /// registry design: their drivers hold only pins, probe ids and
+    /// static delays) need nothing more than this provided method.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell of the netlist has no lowering.
+    fn reset(&mut self) {
+        self.harness_mut().reset();
     }
 }

@@ -11,15 +11,17 @@
 //! shards re-run, and the reassembled result is bit-identical to an
 //! uninterrupted run. The kill-and-resume differential tests assert it.
 //!
-//! Every shard also returns the [`BatchStats`] roll-up of the simulators
-//! it ran, so the serve layer reports honest per-job event counts without
-//! re-walking traces.
+//! Every shard also returns the [`BatchStats`] roll-up of the simulation
+//! runs behind it, so the serve layer reports honest per-job event counts
+//! without re-walking traces. A shard builds its register file once and
+//! [resets](crate::harness::RegisterFile::reset) it between runs, which
+//! leaves every result and counter identical to a fresh build per run.
 
 use crate::config::RfGeometry;
 use crate::designs::Design;
 use crate::harness::BatchStats;
 use crate::hashing::Fnv64;
-use crate::margins::{jitter_trial, soak_trial, yield_trial};
+use crate::margins::{jitter_trial_on, soak_trial, yield_trial_on};
 
 /// How a job's trial range splits into contiguous shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,22 +66,25 @@ impl ShardPlan {
 pub struct YieldShard {
     /// Critical σ of each trial in the shard's range, in index order.
     pub criticals: Vec<f64>,
-    /// Aggregate scheduler counters over every simulator the shard built.
+    /// Aggregate scheduler counters over every run in the shard.
     pub stats: BatchStats,
 }
 
 /// Runs the yield-curve trials in `range` sequentially (shards are the
-/// parallel unit; the supervisor runs them on worker threads).
+/// parallel unit; the supervisor runs them on worker threads), all on one
+/// register file that every probe resets.
 pub fn yield_shard(
     design: Design,
     geometry: RfGeometry,
     seed: u64,
     range: std::ops::Range<u32>,
 ) -> YieldShard {
+    let mut rf = design.build(geometry);
+    rf.prepare();
     let mut stats = BatchStats::new();
     let criticals = range
         .map(|i| {
-            let (c, batch) = yield_trial(design, geometry, seed, i);
+            let (c, batch) = yield_trial_on(rf.as_mut(), seed, i);
             stats.merge(&batch);
             c
         })
@@ -108,11 +113,12 @@ pub fn assemble_yield_curve(sigmas: &[f64], criticals: &[f64]) -> Vec<(f64, f64)
 pub struct JitterShard {
     /// Whether each trial's skewed round trip landed, in index order.
     pub passes: Vec<bool>,
-    /// Aggregate scheduler counters over every simulator the shard built.
+    /// Aggregate scheduler counters over every run in the shard.
     pub stats: BatchStats,
 }
 
-/// Runs the jitter Monte Carlo trials in `range` sequentially.
+/// Runs the jitter Monte Carlo trials in `range` sequentially, all on one
+/// register file that every trial resets.
 pub fn jitter_shard(
     design: Design,
     geometry: RfGeometry,
@@ -120,10 +126,12 @@ pub fn jitter_shard(
     seed: u64,
     range: std::ops::Range<u32>,
 ) -> JitterShard {
+    let mut rf = design.build(geometry);
+    rf.prepare();
     let mut stats = BatchStats::new();
     let passes = range
         .map(|i| {
-            let (ok, s) = jitter_trial(design, geometry, jitter_ps, seed, i);
+            let (ok, s) = jitter_trial_on(rf.as_mut(), jitter_ps, seed, i);
             stats.absorb(s);
             ok
         })

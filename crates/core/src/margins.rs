@@ -42,7 +42,7 @@ use sfq_sim::violation::ViolationPolicy;
 
 use crate::config::RfGeometry;
 use crate::demux::{build_demux, sel_head_start};
-use crate::harness::RegisterFile;
+use crate::harness::{BatchStats, RegisterFile};
 use crate::par;
 
 // The margin engine predates the design registry; its `Design` enum moved
@@ -78,17 +78,13 @@ fn all_ones(geometry: RfGeometry) -> u64 {
     }
 }
 
-/// Runs one skewed write + read round trip on `design` and reports whether
-/// it landed cleanly (value correct, no timing violations).
-fn design_write_succeeds(design: Design, geometry: RfGeometry, skew_ps: f64) -> bool {
-    design_write_trial(design, geometry, skew_ps).0
-}
-
-/// [`design_write_succeeds`] plus the run's scheduler counters, so batch
-/// callers can roll up honest per-job event totals.
-fn design_write_trial(design: Design, geometry: RfGeometry, skew_ps: f64) -> (bool, SimStats) {
-    let value = all_ones(geometry);
-    let mut rf = design.build(geometry);
+/// Resets `rf`, runs one skewed write + read round trip on it and reports
+/// whether it landed cleanly (value correct, no timing violations), plus
+/// the run's scheduler counters so batch callers can roll up honest
+/// per-job event totals.
+fn write_trial_on(rf: &mut dyn RegisterFile, skew_ps: f64) -> (bool, SimStats) {
+    rf.reset();
+    let value = all_ones(rf.geometry());
     rf.write_skewed(1, value, skew_ps);
     if rf.peek(1) != value {
         return (false, rf.sim_stats());
@@ -107,8 +103,20 @@ pub fn jitter_trial(
     seed: u64,
     i: u32,
 ) -> (bool, SimStats) {
+    jitter_trial_on(design.build(geometry).as_mut(), jitter_ps, seed, i)
+}
+
+/// [`jitter_trial`] on an already built register file of the design,
+/// [reset](RegisterFile::reset) first — so a batch of trials elaborates
+/// and lowers the design once. The result is identical to a fresh build.
+pub(crate) fn jitter_trial_on(
+    rf: &mut dyn RegisterFile,
+    jitter_ps: f64,
+    seed: u64,
+    i: u32,
+) -> (bool, SimStats) {
     let skew = (Rng64::fork(seed, u64::from(i)).next_f64() * 2.0 - 1.0) * jitter_ps;
-    design_write_trial(design, geometry, skew)
+    write_trial_on(rf, skew)
 }
 
 /// Sweeps `ok(skew)` over `[-limit, +limit]` ps in `step` steps and
@@ -147,11 +155,8 @@ pub fn design_skew_window(
     limit_ps: f64,
     step_ps: f64,
 ) -> SkewWindow {
-    sweep_window(
-        |s| design_write_succeeds(design, geometry, s),
-        limit_ps,
-        step_ps,
-    )
+    let mut rf = design.build(geometry);
+    sweep_window(|s| write_trial_on(rf.as_mut(), s).0, limit_ps, step_ps)
 }
 
 /// [`design_skew_window`] for the single-bank HiPerRF — kept as the
@@ -258,7 +263,8 @@ fn soak_pattern(geometry: RfGeometry, reg: usize) -> u64 {
     0x9e37_79b9_7f4a_7c15u64.wrapping_mul(reg as u64 + 1) & all_ones(geometry)
 }
 
-fn run_soak(rf: &mut dyn RegisterFile, geometry: RfGeometry) -> bool {
+fn run_soak(rf: &mut dyn RegisterFile) -> bool {
+    let geometry = rf.geometry();
     for r in 0..geometry.registers() {
         rf.write(r, soak_pattern(geometry, r));
     }
@@ -279,10 +285,16 @@ pub fn soak_passes(design: Design, geometry: RfGeometry, sigma: f64, seed: u64) 
 
 /// [`soak_passes`] plus the run's scheduler counters.
 pub fn soak_trial(design: Design, geometry: RfGeometry, sigma: f64, seed: u64) -> (bool, SimStats) {
-    let mut rf = design.build(geometry);
+    soak_trial_on(design.build(geometry).as_mut(), sigma, seed)
+}
+
+/// [`soak_trial`] on a built register file, [reset](RegisterFile::reset)
+/// first.
+fn soak_trial_on(rf: &mut dyn RegisterFile, sigma: f64, seed: u64) -> (bool, SimStats) {
+    rf.reset();
     rf.set_violation_policy(ViolationPolicy::Degrade);
     rf.set_fault_plan(FaultPlan::new(seed).with_delay_sigma(sigma));
-    let ok = run_soak(rf.as_mut(), geometry);
+    let ok = run_soak(rf);
     (ok, rf.sim_stats())
 }
 
@@ -300,16 +312,24 @@ pub fn critical_sigma(design: Design, geometry: RfGeometry, seed: u64) -> f64 {
 }
 
 /// [`critical_sigma`] plus the aggregate scheduler work behind the whole
-/// bisection (one simulator per probed σ), rolled up with
-/// [`crate::harness::BatchStats`].
+/// bisection (one soak per probed σ), rolled up with [`BatchStats`].
 pub fn critical_sigma_with_stats(
     design: Design,
     geometry: RfGeometry,
     seed: u64,
-) -> (f64, crate::harness::BatchStats) {
-    let mut batch = crate::harness::BatchStats::new();
+) -> (f64, BatchStats) {
+    let mut rf = design.build(geometry);
+    rf.prepare();
+    critical_sigma_on(rf.as_mut(), seed)
+}
+
+/// The critical-σ bisection on one built register file: every probe
+/// [resets](RegisterFile::reset) it and soaks it under that probe's σ, so
+/// a trial elaborates and lowers its design once, not once per probe.
+fn critical_sigma_on(rf: &mut dyn RegisterFile, seed: u64) -> (f64, BatchStats) {
+    let mut batch = BatchStats::new();
     let mut probe = |sigma: f64| {
-        let (ok, stats) = soak_trial(design, geometry, sigma, seed);
+        let (ok, stats) = soak_trial_on(rf, sigma, seed);
         batch.absorb(stats);
         ok
     };
@@ -335,14 +355,20 @@ pub fn critical_sigma_with_stats(
 /// bisects that trial's critical σ. A pure function of `(design, geometry,
 /// seed, i)` — the unit the job server's shards replay — returning the
 /// critical σ plus the aggregate scheduler work behind the bisection.
-pub fn yield_trial(
-    design: Design,
-    geometry: RfGeometry,
-    seed: u64,
-    i: u32,
-) -> (f64, crate::harness::BatchStats) {
-    let trial_seed = Rng64::fork(seed, u64::from(i)).next_u64();
-    critical_sigma_with_stats(design, geometry, trial_seed)
+pub fn yield_trial(design: Design, geometry: RfGeometry, seed: u64, i: u32) -> (f64, BatchStats) {
+    critical_sigma_with_stats(design, geometry, yield_trial_seed(seed, i))
+}
+
+/// [`yield_trial`] on an already built register file of the design — how
+/// a shard runs its trials on one build. The result is identical to a
+/// fresh build.
+pub(crate) fn yield_trial_on(rf: &mut dyn RegisterFile, seed: u64, i: u32) -> (f64, BatchStats) {
+    critical_sigma_on(rf, yield_trial_seed(seed, i))
+}
+
+/// The variation seed of yield trial `i`.
+fn yield_trial_seed(seed: u64, i: u32) -> u64 {
+    Rng64::fork(seed, u64::from(i)).next_u64()
 }
 
 /// A Monte Carlo yield curve: pass fraction as a function of delay σ.

@@ -262,6 +262,104 @@ impl Lowered {
     }
 }
 
+/// The state a netlist's cells held before their first delivery, kept so
+/// [`Simulator::reset`](crate::simulator::Simulator::reset) can return a
+/// built circuit to it without elaborating or lowering again.
+///
+/// The image is sparse: almost every cell powers on in the zero state (no
+/// stored fluxon, no remembered pulse time), so only the others are kept,
+/// in component order.
+#[derive(Debug)]
+pub(crate) struct PowerOnImage {
+    /// `(component index, packed state)` of every cell whose lowered state
+    /// is not the zero state.
+    nonzero: Vec<(u32, PackedState)>,
+    /// The first cell with no lowering, if any. Its state is opaque, so a
+    /// netlist holding one cannot be reset.
+    unlowerable: Option<ComponentId>,
+}
+
+/// One cell's mutable state in slot encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedState {
+    bits: u8,
+    ta: u64,
+    tb: u64,
+}
+
+impl PackedState {
+    /// No stored fluxon, no remembered pulse time.
+    const ZERO: PackedState = PackedState {
+        bits: 0,
+        ta: NONE_FS,
+        tb: NONE_FS,
+    };
+
+    fn of(lowered: &Lowered) -> Self {
+        PackedState {
+            bits: lowered.bits,
+            ta: pack(lowered.time_a),
+            tb: pack(lowered.time_b),
+        }
+    }
+
+    fn lowered(self, op: CellOp) -> Lowered {
+        Lowered {
+            op,
+            bits: self.bits,
+            time_a: unpack(self.ta),
+            time_b: unpack(self.tb),
+        }
+    }
+}
+
+impl PowerOnImage {
+    /// Records the current state of every cell in `netlist`.
+    pub(crate) fn capture(netlist: &Netlist) -> Self {
+        let mut nonzero = Vec::new();
+        let mut unlowerable = None;
+        for i in 0..netlist.component_count() {
+            let id = ComponentId(i as u32);
+            match netlist.component(id).lower() {
+                Some(lowered) => {
+                    let state = PackedState::of(&lowered);
+                    if state != PackedState::ZERO {
+                        nonzero.push((id.0, state));
+                    }
+                }
+                None => {
+                    unlowerable.get_or_insert(id);
+                }
+            }
+        }
+        PowerOnImage {
+            nonzero,
+            unlowerable,
+        }
+    }
+
+    /// The first cell whose state the image could not record.
+    pub(crate) fn unlowerable(&self) -> Option<ComponentId> {
+        self.unlowerable
+    }
+
+    /// Restores every boxed component of `netlist` to its imaged state.
+    /// The compiled engine's slots are not touched (see
+    /// [`CompiledNetlist::restore_image`] for that).
+    pub(crate) fn restore_boxes(&self, netlist: &mut Netlist) {
+        let mut nonzero = self.nonzero.iter().peekable();
+        for i in 0..netlist.component_count() {
+            let component = netlist.component_mut(ComponentId(i as u32));
+            let op = component.lower().map_or(CellOp::Dyn, |l| l.op);
+            let state = match nonzero.next_if(|&&(cell, _)| cell == i as u32) {
+                Some(&(_, state)) => state,
+                None => PackedState::ZERO,
+            };
+            component.restore(&state.lowered(op));
+        }
+    }
+}
+
 /// Sentinel femtosecond value for "no timestamp recorded".
 const NONE_FS: u64 = u64::MAX;
 
@@ -296,6 +394,24 @@ struct CellSlot {
     /// Whether this slot advanced past its boxed component since the last
     /// [`CompiledNetlist::sync_back`] (membership flag for `touched`).
     stale: bool,
+}
+
+impl CellSlot {
+    /// The slot's mutable state.
+    fn state(&self) -> PackedState {
+        PackedState {
+            bits: self.bits,
+            ta: self.ta,
+            tb: self.tb,
+        }
+    }
+
+    /// Overwrites the slot's mutable state.
+    fn set_state(&mut self, state: PackedState) {
+        self.bits = state.bits;
+        self.ta = state.ta;
+        self.tb = state.tb;
+    }
 }
 
 /// Bytes of cell state one delivery touches (a slot line) — the unit of
@@ -431,11 +547,12 @@ impl CompiledNetlist {
                 .component(id)
                 .lower()
                 .unwrap_or_else(|| Lowered::stateless(CellOp::Dyn));
+            let state = PackedState::of(&lowered);
             slots.push(CellSlot {
                 op: lowered.op,
-                ta: pack(lowered.time_a),
-                tb: pack(lowered.time_b),
-                bits: lowered.bits,
+                ta: state.ta,
+                tb: state.tb,
+                bits: state.bits,
                 stale: false,
             });
         }
@@ -505,15 +622,30 @@ impl CompiledNetlist {
             let cell = self.cell_of[slot as usize];
             let s = &mut self.slots[slot as usize];
             s.stale = false;
-            let state = Lowered {
-                op: s.op,
-                bits: s.bits,
-                time_a: unpack(s.ta),
-                time_b: unpack(s.tb),
-            };
-            netlist.component_mut(ComponentId(cell)).restore(&state);
+            netlist
+                .component_mut(ComponentId(cell))
+                .restore(&s.state().lowered(s.op));
         }
         self.touched.clear();
+    }
+
+    /// Rewrites every slot, and every boxed component with it, to the
+    /// state recorded in `image`. Ops, placement and tables stay as
+    /// lowered.
+    pub(crate) fn restore_image(&mut self, image: &PowerOnImage, netlist: &mut Netlist) {
+        for s in &mut self.slots {
+            s.set_state(PackedState::ZERO);
+            s.stale = false;
+        }
+        self.touched.clear();
+        for &(cell, state) in &image.nonzero {
+            self.slots[self.slot_of[cell as usize] as usize].set_state(state);
+        }
+        for (s, &cell) in self.slots.iter().zip(&self.cell_of) {
+            netlist
+                .component_mut(ComponentId(cell))
+                .restore(&s.state().lowered(s.op));
+        }
     }
 
     /// The slot holding a cell's state — the delivery-time remap load.

@@ -155,11 +155,19 @@ impl FaultPlan {
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
+    /// Per-pin delivery counts. Only pin faults read them, so a plan
+    /// without pin faults never touches the map.
     deliveries: HashMap<Pin, u64>,
-    factors: HashMap<ComponentId, f64>,
+    /// Delay factors indexed by component id, drawn on first use;
+    /// [`UNDRAWN`] marks a component not yet delivered to.
+    factors: Vec<f64>,
     pub(crate) dropped: u64,
     pub(crate) duplicated: u64,
 }
+
+/// Placeholder in the dense factor cache. Real factors floor at 0.05, so
+/// zero can never be a drawn value.
+const UNDRAWN: f64 = 0.0;
 
 /// What the simulator should do with one pulse delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,12 +176,20 @@ pub(crate) struct DeliveryFault {
     pub(crate) echo_after: Option<Duration>,
 }
 
+impl DeliveryFault {
+    /// Deliver the pulse unchanged.
+    const NONE: DeliveryFault = DeliveryFault {
+        drop: false,
+        echo_after: None,
+    };
+}
+
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultState {
             plan,
             deliveries: HashMap::new(),
-            factors: HashMap::new(),
+            factors: Vec::new(),
             dropped: 0,
             duplicated: 0,
         }
@@ -184,7 +200,11 @@ impl FaultState {
     }
 
     /// Counts a delivery on `pin` and returns the planned deviation, if any.
+    #[inline]
     pub(crate) fn on_delivery(&mut self, pin: Pin) -> DeliveryFault {
+        if self.plan.pin_faults.is_empty() {
+            return DeliveryFault::NONE;
+        }
         let n = self.deliveries.entry(pin).or_insert(0);
         *n += 1;
         match self.plan.pin_faults.get(&(pin, *n)) {
@@ -202,24 +222,27 @@ impl FaultState {
                     echo_after: Some(*off),
                 }
             }
-            None => DeliveryFault {
-                drop: false,
-                echo_after: None,
-            },
+            None => DeliveryFault::NONE,
         }
     }
 
     /// The persistent delay factor of a component instance. Derived from
     /// `fork(seed, component index)`, so it is independent of event order.
+    #[inline]
     pub(crate) fn delay_factor(&mut self, id: ComponentId) -> f64 {
         if self.plan.delay_sigma == 0.0 {
             return 1.0;
         }
-        let sigma = self.plan.delay_sigma;
-        *self.factors.entry(id).or_insert_with(|| {
-            let g = Rng64::fork(self.plan.seed, id.index() as u64).gaussian_clamped(3.0);
-            (1.0 + sigma * g).max(0.05)
-        })
+        let i = id.index();
+        if i >= self.factors.len() {
+            self.factors.resize(i + 1, UNDRAWN);
+        }
+        let factor = &mut self.factors[i];
+        if *factor == UNDRAWN {
+            let g = Rng64::fork(self.plan.seed, i as u64).gaussian_clamped(3.0);
+            *factor = (1.0 + self.plan.delay_sigma * g).max(0.05);
+        }
+        *factor
     }
 }
 
@@ -246,24 +269,44 @@ mod tests {
 
     #[test]
     fn delivery_counting_is_per_pin_and_one_based() {
-        let plan = FaultPlan::new(0).drop_nth(pin(0, 0), 2);
-        let mut st = FaultState::new(plan);
-        assert!(!st.on_delivery(pin(0, 0)).drop, "1st delivery passes");
-        assert!(!st.on_delivery(pin(0, 1)).drop, "other pin not counted");
-        assert!(st.on_delivery(pin(0, 0)).drop, "2nd delivery dropped");
-        assert!(!st.on_delivery(pin(0, 0)).drop, "3rd passes again");
-        assert_eq!(st.dropped, 1);
+        // With and without delay variation: σ must not disturb counting.
+        for sigma in [0.0, 0.2] {
+            let plan = FaultPlan::new(0)
+                .drop_nth(pin(0, 0), 2)
+                .with_delay_sigma(sigma);
+            let mut st = FaultState::new(plan);
+            assert!(!st.on_delivery(pin(0, 0)).drop, "1st delivery passes");
+            assert!(!st.on_delivery(pin(0, 1)).drop, "other pin not counted");
+            assert!(st.on_delivery(pin(0, 0)).drop, "2nd delivery dropped");
+            assert!(!st.on_delivery(pin(0, 0)).drop, "3rd passes again");
+            assert_eq!(st.dropped, 1);
+            assert_eq!(st.delay_factor(ComponentId(0)) == 1.0, sigma == 0.0);
+        }
     }
 
     #[test]
     fn duplicate_echoes_once() {
-        let plan = FaultPlan::new(0).duplicate_nth(pin(2, 0), 1, Duration::from_ps(4.0));
-        let mut st = FaultState::new(plan);
-        let f = st.on_delivery(pin(2, 0));
-        assert_eq!(f.echo_after, Some(Duration::from_ps(4.0)));
-        assert!(!f.drop);
-        assert_eq!(st.on_delivery(pin(2, 0)).echo_after, None);
-        assert_eq!(st.duplicated, 1);
+        for sigma in [0.0, 0.2] {
+            let plan = FaultPlan::new(0)
+                .duplicate_nth(pin(2, 0), 1, Duration::from_ps(4.0))
+                .with_delay_sigma(sigma);
+            let mut st = FaultState::new(plan);
+            let f = st.on_delivery(pin(2, 0));
+            assert_eq!(f.echo_after, Some(Duration::from_ps(4.0)));
+            assert!(!f.drop);
+            assert_eq!(st.on_delivery(pin(2, 0)).echo_after, None);
+            assert_eq!(st.duplicated, 1);
+        }
+    }
+
+    #[test]
+    fn plans_without_pin_faults_count_nothing() {
+        let mut st = FaultState::new(FaultPlan::new(3).with_delay_sigma(0.1));
+        for _ in 0..4 {
+            assert_eq!(st.on_delivery(pin(1, 0)), DeliveryFault::NONE);
+        }
+        assert!(st.deliveries.is_empty(), "no reader, no counters");
+        assert_eq!((st.dropped, st.duplicated), (0, 0));
     }
 
     #[test]
@@ -277,6 +320,18 @@ mod tests {
         assert!(f > 0.0 && (f - 1.0).abs() <= 0.3 + 1e-12, "bounded: {f}");
         let mut c = FaultState::new(FaultPlan::new(10).with_delay_sigma(0.1));
         assert_ne!(f, c.delay_factor(id), "different seed, different factor");
+
+        // A high index before a low one grows the dense cache past ids
+        // not yet drawn; every factor still equals a fresh draw from the
+        // component's own forked stream, whatever the touch order.
+        let (seed, sigma) = (0xfeed, 0.07);
+        let mut st = FaultState::new(FaultPlan::new(seed).with_delay_sigma(sigma));
+        for i in [1000u32, 3, 999, 0, 1000, 3, 4096] {
+            let g = Rng64::fork(seed, u64::from(i)).gaussian_clamped(3.0);
+            let expect = (1.0 + sigma * g).max(0.05);
+            assert_eq!(st.delay_factor(ComponentId(i)), expect, "component {i}");
+        }
+        assert_eq!(st.factors.len(), 4097);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use crate::compiled::{CompiledNetlist, EngineKind, SLOT_BYTES};
+use crate::compiled::{CompiledNetlist, EngineKind, PowerOnImage, SLOT_BYTES};
 use crate::component::{CellLabel, PulseContext};
 use crate::fault::{FaultPlan, FaultState};
 use crate::layout::{CellLayout, LayoutKind};
@@ -135,6 +135,9 @@ pub struct Simulator {
     /// Reusable per-delivery emission buffer; keeps the hot loop
     /// allocation-free across runs.
     emit_scratch: Vec<(u8, Time)>,
+    /// Cell state before the first delivery, recorded by the first run
+    /// (or the first [`Simulator::reset`]) — what a reset returns to.
+    power_on: Option<PowerOnImage>,
 }
 
 impl Simulator {
@@ -175,6 +178,7 @@ impl Simulator {
             layout_override: None,
             compiled: None,
             emit_scratch: Vec::new(),
+            power_on: None,
         }
     }
 
@@ -449,6 +453,9 @@ impl Simulator {
     }
 
     fn run_until(&mut self, deadline: Option<Time>) -> Result<RunStats, SimError> {
+        if self.power_on.is_none() {
+            self.power_on = Some(PowerOnImage::capture(&self.netlist));
+        }
         let result = match self.engine {
             EngineKind::Compiled => self.run_until_compiled(deadline),
             EngineKind::DynInterpreter => self.run_until_dyn(deadline),
@@ -461,6 +468,51 @@ impl Simulator {
             self.seq = 0;
         }
         result
+    }
+
+    /// Returns the simulator to its as-built state while keeping the
+    /// netlist, the probe registrations and the compiled tables, so a
+    /// batch of independent runs pays elaboration and lowering once.
+    ///
+    /// Afterwards every observable starts over exactly as on a fresh
+    /// simulator over the same netlist: cell state returns to what it was
+    /// before the first delivery; the queue is emptied and the clock,
+    /// sequence counter, [`SimStats`], violations, probe traces and
+    /// degraded-drop count return to zero; the fault plan is removed and
+    /// the violation policy returns to [`ViolationPolicy::Record`].
+    /// Scheduler, engine, placement and event budget are configuration
+    /// and stay as set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell has no lowering (see
+    /// [`Component::lower`](crate::component::Component::lower)): its
+    /// state is opaque, so there is no power-on image to return it to.
+    /// Every `sfq-cells` primitive lowers.
+    pub fn reset(&mut self) {
+        let image = self
+            .power_on
+            .get_or_insert_with(|| PowerOnImage::capture(&self.netlist));
+        if let Some(id) = image.unlowerable() {
+            panic!(
+                "cannot reset: cell `{}` ({}) has no lowering, so its power-on state is unknown",
+                self.netlist.label(id),
+                self.netlist.component(id).kind()
+            );
+        }
+        match self.compiled.as_mut() {
+            Some(compiled) => compiled.restore_image(image, &mut self.netlist),
+            None => image.restore_boxes(&mut self.netlist),
+        }
+        self.queue.clear();
+        self.seq = 0;
+        self.now = Time::ZERO;
+        self.stats = SimStats::default();
+        self.violations.clear();
+        self.clear_all_probes();
+        self.degraded_drops = 0;
+        self.fault = None;
+        self.policy = ViolationPolicy::Record;
     }
 
     /// Builds the compiled engine's slot tables (resolving the active

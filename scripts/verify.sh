@@ -181,6 +181,17 @@ if [ -z "$BASE_DIGEST" ] || [ "$BASE_DIGEST" != "$RESUME_DIGEST" ]; then
 fi
 echo "crash recovery: resumed digest matches uninterrupted run ($BASE_DIGEST)"
 
+echo "== repo benchmark (build, unit tests, yield-16x16 correctness gates) =="
+# The benchmark is its own cargo package that drives the crates through
+# their public API only. A short yield run exits nonzero when any of its
+# correctness gates fails (well-formed curves, shard reassembly, the seed-1
+# criticals golden), so a public-API break or a change in margin results
+# fails here instead of in the next benchmark run.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test -q --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload yield-16x16 --seed 1 --seconds 5 --trace 0 > /dev/null
+
 echo "== docs (deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -131,3 +131,116 @@ fn simulator_handles_simultaneous_events_deterministically() {
     // Coincident pulses: the second dissipates in the merger dead zone.
     assert_eq!(observed[0].len(), 1);
 }
+
+/// Folds a shard's [`BatchStats`](hiperrf::BatchStats) roll-up into a
+/// result digest, field by field.
+fn absorb_batch_stats(h: &mut hiperrf::hashing::Fnv64, stats: &hiperrf::BatchStats) {
+    let t = stats.totals;
+    h.write_u64(stats.runs);
+    h.write_u64(t.events_processed);
+    h.write_u64(t.peak_queue_depth as u64);
+    h.write_u64(t.sim_time_advanced.as_fs());
+    h.write_u64(t.slot_bytes_touched);
+    h.write_u64(t.fanout_rows_visited);
+}
+
+/// Seed of the Monte Carlo result goldens below.
+const GOLDEN_SEED: u64 = 0x5EED_0012;
+/// Trials per golden shard.
+const GOLDEN_TRIALS: u32 = 4;
+/// Peak injection jitter of the jitter-shard goldens (ps): wide enough
+/// that some trials pass and some fail on every design.
+const GOLDEN_JITTER_PS: f64 = 12.0;
+
+/// `(design, geometry, digest)` rows for every registry design at 4×4 and
+/// 16×16, digesting `f`'s output.
+fn golden_rows(f: impl Fn(hiperrf::Design, RfGeometry) -> u64) -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
+    for geometry in [RfGeometry::paper_4x4(), RfGeometry::paper_16x16()] {
+        for design in hiperrf::Design::ALL {
+            let name = format!(
+                "{}/{}x{}",
+                design.label(),
+                geometry.registers(),
+                geometry.width()
+            );
+            rows.push((name, f(design, geometry)));
+        }
+    }
+    rows
+}
+
+fn yield_shard_digest(design: hiperrf::Design, geometry: RfGeometry) -> u64 {
+    let shard = hiperrf::jobs::yield_shard(design, geometry, GOLDEN_SEED, 0..GOLDEN_TRIALS);
+    let mut h = hiperrf::hashing::Fnv64::new();
+    h.write_u64(hiperrf::jobs::digest_f64s(&shard.criticals));
+    absorb_batch_stats(&mut h, &shard.stats);
+    h.finish()
+}
+
+fn jitter_shard_digest(design: hiperrf::Design, geometry: RfGeometry) -> u64 {
+    let shard = hiperrf::jobs::jitter_shard(
+        design,
+        geometry,
+        GOLDEN_JITTER_PS,
+        GOLDEN_SEED,
+        0..GOLDEN_TRIALS,
+    );
+    let mut h = hiperrf::hashing::Fnv64::new();
+    h.write_u64(hiperrf::jobs::digest_bools(&shard.passes));
+    absorb_batch_stats(&mut h, &shard.stats);
+    h.finish()
+}
+
+/// Digests of `yield_shard` criticals plus their `BatchStats`, recorded
+/// before margin trials reused one register file across bisection probes:
+/// reuse must not move a single bit of any result or counter.
+const YIELD_SHARD_GOLDENS: [(&str, u64); 8] = [
+    ("NDRO baseline/4x4", 0x5a395cd2cf5fb5ba),
+    ("HiPerRF/4x4", 0xe0e9a39502f535d0),
+    ("dual-banked/4x4", 0x23ce7025dd32fad0),
+    ("shift-register/4x4", 0x21642da400a7ec30),
+    ("NDRO baseline/16x16", 0xe8cedded8f325950),
+    ("HiPerRF/16x16", 0x85890dc40b201abd),
+    ("dual-banked/16x16", 0xd3a0fa9e77d66da3),
+    ("shift-register/16x16", 0x96e1ee8b928be602),
+];
+
+/// Digests of `jitter_shard` passes plus their `BatchStats`, recorded
+/// alongside [`YIELD_SHARD_GOLDENS`].
+const JITTER_SHARD_GOLDENS: [(&str, u64); 8] = [
+    ("NDRO baseline/4x4", 0x5f53243ee032117b),
+    ("HiPerRF/4x4", 0xfe3ebf6956216e17),
+    ("dual-banked/4x4", 0x13a0acbcfa81d3e4),
+    ("shift-register/4x4", 0x7124bff98ea0bb86),
+    ("NDRO baseline/16x16", 0x577ffa7f915b2c19),
+    ("HiPerRF/16x16", 0xc6794ed981e587a5),
+    ("dual-banked/16x16", 0x20e83315efbad3be),
+    ("shift-register/16x16", 0x80bd4f39b273cc42),
+];
+
+fn assert_goldens(what: &str, rows: Vec<(String, u64)>, goldens: &[(&str, u64)]) {
+    let got: Vec<(&str, u64)> = rows.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+    assert_eq!(
+        got, goldens,
+        "{what} results drifted from the committed goldens"
+    );
+}
+
+#[test]
+fn yield_shard_results_match_committed_goldens() {
+    assert_goldens(
+        "yield_shard",
+        golden_rows(yield_shard_digest),
+        &YIELD_SHARD_GOLDENS,
+    );
+}
+
+#[test]
+fn jitter_shard_results_match_committed_goldens() {
+    assert_goldens(
+        "jitter_shard",
+        golden_rows(jitter_shard_digest),
+        &JITTER_SHARD_GOLDENS,
+    );
+}

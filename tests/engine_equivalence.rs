@@ -13,7 +13,8 @@
 //!   plan;
 //! * **every registered register-file design** at 4×4 and 16×16, driven
 //!   through write/read/peek sweeps behind the `RegisterFile` trait,
-//!   clean and under fault injection with the `Degrade` policy.
+//!   clean and under fault injection with the `Degrade` policy — and,
+//!   after a soak and a reset, against a fresh build of the same design.
 //!
 //! Every observable must match exactly: pulse traces, violations (kind,
 //! time, label, and message), the exported VCD byte for byte, the
@@ -269,7 +270,17 @@ fn run_circuit(
         .enumerate()
         .map(|(i, &p)| sim.probe(p, format!("tap{i}")))
         .collect();
+    drive_and_observe(&mut sim, &inputs, &probe_ids, seed)
+}
 
+/// Drives `sim` with the seeded stimulus bursts of `seed` (some of them
+/// deadline-bounded) and collects every observable.
+fn drive_and_observe(
+    sim: &mut Simulator,
+    inputs: &[Pin],
+    probe_ids: &[ProbeId],
+    seed: u64,
+) -> Observables {
     let mut rng = Rng64::fork(seed, 0xD1CE);
     for burst in 0..20u32 {
         let pin = inputs[rng.next_below(inputs.len())];
@@ -498,6 +509,7 @@ fn every_registered_design_matches_across_engines() {
                 for engine in EngineKind::ALL {
                     let run = run_design(design, g, scheduler, engine, None, Placement::Default);
                     assert_eq!(reference, run, "{design} at {g}: {engine} on {scheduler:?}");
+                    assert_reset_matches_fresh(design, g, scheduler, engine);
                 }
             }
         }
@@ -527,6 +539,173 @@ fn registry_fault_replay_is_engine_invariant() {
             }
         }
     }
+}
+
+/// Everything a register-file soak exposes: reads and peeks, violations,
+/// scheduler counters, the hierarchical VCD, degraded drops and the fault
+/// plan's `(dropped, duplicated)` tallies.
+type SoakObservables = (Vec<u64>, Vec<Violation>, SimStats, String, u64, (u64, u64));
+
+/// Soaks `rf` under `plan` and the `Degrade` policy: every register
+/// written, peeked, read and peeked again.
+fn soak_observed(rf: &mut dyn hiperrf::RegisterFile, plan: FaultPlan) -> SoakObservables {
+    let g = rf.geometry();
+    rf.set_violation_policy(ViolationPolicy::Degrade);
+    rf.set_fault_plan(plan);
+    let mask = (1u64 << g.width()) - 1;
+    let mut reads = Vec::new();
+    for reg in 0..g.registers() {
+        rf.write(reg, (0x5EED + 7 * reg as u64) & mask);
+        reads.push(rf.peek(reg));
+    }
+    for reg in 0..g.registers() {
+        reads.push(rf.read(reg));
+        reads.push(rf.peek(reg));
+    }
+    let sim = rf.harness().sim();
+    (
+        reads,
+        rf.violations().to_vec(),
+        rf.sim_stats(),
+        sim.to_vcd("rf"),
+        rf.degraded_drops(),
+        sim.fault_counts(),
+    )
+}
+
+/// A register file soaked under one plan and then reset must be
+/// indistinguishable from a fresh build: its second soak — under a plan
+/// with pin faults *and* delay variation, so the per-pin delivery counters
+/// are live — must match the fresh file's byte for byte.
+fn assert_reset_matches_fresh(
+    design: hiperrf::Design,
+    g: RfGeometry,
+    scheduler: SchedulerKind,
+    engine: EngineKind,
+) {
+    let what = format!("{design} at {g}, reset: {engine} on {scheduler:?}");
+    let build = || {
+        let mut rf = design.build(g);
+        rf.set_scheduler(scheduler);
+        rf.set_engine(engine);
+        rf
+    };
+    let mut rf = build();
+    let inputs = rf.lint_ports().external_inputs;
+    let (a, b) = (inputs[0], inputs[inputs.len() / 2]);
+    let p1 = FaultPlan::new(0xA11CE)
+        .with_delay_sigma(0.2)
+        .duplicate_nth(b, 1, Duration::from_ps(4.0))
+        .spurious(a, Time::from_ps(5.0));
+    let p2 = || {
+        FaultPlan::new(0xB0B)
+            .with_delay_sigma(0.05)
+            .drop_nth(a, 2)
+            .duplicate_nth(b, 3, Duration::from_ps(3.0))
+    };
+    let fresh = soak_observed(build().as_mut(), p2());
+
+    let first = soak_observed(rf.as_mut(), p1);
+    assert_ne!(first.0, fresh.0, "{what}: P1 must leave different state");
+    // Leave a pulse in flight: reset must discard it.
+    let late = rf.harness().sim().now() + Duration::from_ps(50.0);
+    rf.harness_mut().sim_mut().inject(a, late);
+    rf.reset();
+    let sim = rf.harness().sim();
+    assert_eq!(sim.violation_policy(), ViolationPolicy::Record, "{what}");
+    assert!(sim.fault_plan().is_none(), "{what}");
+    let reused = soak_observed(rf.as_mut(), p2());
+
+    assert_eq!(fresh, reused, "{what}");
+    assert_ne!(fresh.5, (0, 0), "{what}: pin faults must fire");
+}
+
+#[test]
+fn reset_simulator_matches_a_fresh_one() {
+    // The zoo plus an NDRO that powers on *holding* a fluxon, so the
+    // power-on image is not all zeros. A run under one plan, a pulse
+    // left in flight, then a reset: the next run must match a fresh
+    // simulator's byte for byte on every engine and scheduler.
+    let circuit = || {
+        let (mut netlist, inputs, mut taps) = zoo_circuit();
+        let held = netlist.add("held", Box::new(Ndro::holding()));
+        netlist.connect(taps[0], Pin::new(held, Ndro::CLK), Duration::from_ps(2.0));
+        netlist.connect(taps[2], Pin::new(held, Ndro::RESET), Duration::from_ps(2.0));
+        taps.push(Pin::new(held, Ndro::OUT));
+        (netlist, inputs, taps)
+    };
+    let p2 = |inputs: &[Pin]| {
+        FaultPlan::new(0x2B)
+            .with_delay_sigma(0.08)
+            .drop_nth(inputs[0], 2)
+            .duplicate_nth(inputs[1], 1, Duration::from_ps(6.0))
+    };
+    for scheduler in SchedulerKind::ALL {
+        for engine in EngineKind::ALL {
+            let build = || {
+                let (netlist, inputs, taps) = circuit();
+                let mut sim = Simulator::with_engine(netlist, scheduler, engine);
+                let ids: Vec<ProbeId> = taps
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| sim.probe(p, format!("tap{i}")))
+                    .collect();
+                let held = taps.last().expect("held NDRO tap").component;
+                (sim, inputs, ids, held)
+            };
+            let (mut fresh, inputs, ids, _) = build();
+            fresh.set_violation_policy(ViolationPolicy::Degrade);
+            fresh.set_fault_plan(p2(&inputs));
+            let expect = drive_and_observe(&mut fresh, &inputs, &ids, 7);
+
+            let (mut sim, inputs, ids, held) = build();
+            sim.set_fault_plan(FaultPlan::new(0x1A).with_delay_sigma(0.3));
+            drive_and_observe(&mut sim, &inputs, &ids, 5);
+            assert_eq!(sim.netlist().component(held).stored(), Some(0));
+            sim.inject(inputs[2], sim.now() + Duration::from_ps(40.0));
+            sim.reset();
+            assert_eq!(sim.netlist().component(held).stored(), Some(1));
+            assert_eq!(sim.stats(), SimStats::default());
+            sim.set_violation_policy(ViolationPolicy::Degrade);
+            sim.set_fault_plan(p2(&inputs));
+            let got = drive_and_observe(&mut sim, &inputs, &ids, 7);
+            assert_eq!(expect, got, "{engine} on {scheduler:?}");
+            assert_eq!(fresh.fault_counts(), sim.fault_counts());
+            assert_ne!(sim.fault_counts(), (0, 0));
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "has no lowering")]
+fn reset_refuses_a_netlist_with_an_unlowerable_cell() {
+    /// A custom cell with private state and no lowering.
+    #[derive(Debug, Default)]
+    struct Opaque {
+        seen: u32,
+    }
+    impl Component for Opaque {
+        fn kind(&self) -> &'static str {
+            "opaque"
+        }
+        fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
+            self.seen += 1;
+            ctx.emit_after(0, now, Duration::from_ps(1.0));
+        }
+    }
+    let mut b = CircuitBuilder::new();
+    let jtl = b.jtl();
+    let mut netlist = b.finish();
+    let opaque = netlist.add("opaque0", Box::new(Opaque::default()));
+    netlist.connect(
+        Pin::new(jtl, Jtl::OUT),
+        Pin::new(opaque, 0),
+        Duration::from_ps(1.0),
+    );
+    let mut sim = Simulator::new(netlist);
+    sim.inject(Pin::new(jtl, Jtl::IN), Time::ZERO);
+    sim.run();
+    sim.reset();
 }
 
 /// The placement sweep every layout-invariance test drives: the identity
