@@ -581,19 +581,13 @@ impl HcBank {
         // Arm the LoopBuffer for restoration.
         sim.inject(self.ports.lb_set, t);
         // Fire the read port.
-        self.fire(
-            sim,
-            &self.ports.read_sel.clone(),
-            self.ports.read_enable,
-            reg,
-            t,
-        );
+        self.fire(sim, &self.ports.read_sel, self.ports.read_enable, reg, t);
         // Re-arm the write port at the same register so the loopback train
         // meets the tripled write enable at the DAND gates. Both ports share
         // the same enable-path latency, so the write enable simply lags the
         // read enable by the cell-to-gate loopback latency.
         let t_wen = t + Duration::from_ps(self.head_start_ps() + self.cell_to_gate_loopback_ps());
-        for (level, &pin) in self.ports.write_sel.clone().iter().enumerate() {
+        for (level, &pin) in self.ports.write_sel.iter().enumerate() {
             if (reg >> (self.levels() - 1 - level)) & 1 == 1 {
                 sim.inject(pin, t);
             }
@@ -618,13 +612,7 @@ impl HcBank {
     /// reset-port-free erase, §IV-B "Write operation").
     pub fn erase_op(&self, sim: &mut Simulator, reg: usize, t: Time) {
         sim.inject(self.ports.lb_reset, t);
-        self.fire(
-            sim,
-            &self.ports.read_sel.clone(),
-            self.ports.read_enable,
-            reg,
-            t,
-        );
+        self.fire(sim, &self.ports.read_sel, self.ports.read_enable, reg, t);
         sim.run();
     }
 
@@ -644,13 +632,7 @@ impl HcBank {
         t: Time,
         skew_ps: f64,
     ) {
-        self.fire(
-            sim,
-            &self.ports.write_sel.clone(),
-            self.ports.write_enable,
-            reg,
-            t,
-        );
+        self.fire(sim, &self.ports.write_sel, self.ports.write_enable, reg, t);
         // Align the HC-WRITE output train with the tripled write enable at
         // the DAND gates.
         let t_gate = t + Duration::from_ps(self.head_start_ps() + self.enable_to_cell_ps());

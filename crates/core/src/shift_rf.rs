@@ -380,12 +380,13 @@ impl ShiftRegisterRf {
     fn select(&mut self, which: WhichDemux, reg: usize, t: Time) {
         let levels = self.h.geometry().demux_levels();
         let sel = match which {
-            WhichDemux::Clock => self.clock_demux.sel_set.clone(),
-            WhichDemux::Write => self.write_demux.sel_set.clone(),
+            WhichDemux::Clock => &self.clock_demux.sel_set,
+            WhichDemux::Write => &self.write_demux.sel_set,
         };
+        let sim = self.h.sim_mut();
         for (level, &pin) in sel.iter().enumerate() {
             if (reg >> (levels - 1 - level)) & 1 == 1 {
-                self.h.sim_mut().inject(pin, t);
+                sim.inject(pin, t);
             }
         }
     }
@@ -441,7 +442,7 @@ impl RegisterFile for ShiftRegisterRf {
                 + SPLITTER_DELAY_PS,
         );
         let mut value = 0u64;
-        let trace = self.h.sim().probe_trace(self.out_probes[reg]).clone();
+        let trace = self.h.sim().probe_trace(self.out_probes[reg]);
         for k in 0..w {
             let slot = first_clk + Duration::from_ps(SHIFT_STEP_PS * k as f64) + exit;
             let lo = slot - Duration::from_ps(SHIFT_STEP_PS / 2.0);

@@ -158,7 +158,9 @@ pub(crate) struct FaultState {
     /// Per-pin delivery counts. Only pin faults read them, so a plan
     /// without pin faults never touches the map.
     deliveries: HashMap<Pin, u64>,
-    /// Delay factors indexed by component id, drawn on first use;
+    /// The seed's standard-normal draws, shared by every σ.
+    draws: GaussianDraws,
+    /// Delay factors indexed by component id, computed on first use;
     /// [`UNDRAWN`] marks a component not yet delivered to.
     factors: Vec<f64>,
     pub(crate) dropped: u64,
@@ -168,6 +170,40 @@ pub(crate) struct FaultState {
 /// Placeholder in the dense factor cache. Real factors floor at 0.05, so
 /// zero can never be a drawn value.
 const UNDRAWN: f64 = 0.0;
+
+/// The clamped standard-normal draw `Rng64::fork(seed, id)` yields for each
+/// component id, drawn on first use. A plan's delay factors scale these by
+/// its σ, so plans that differ only in σ — the probes of one margin
+/// bisection — can share one set instead of paying a logarithm and a
+/// cosine per component per probe.
+#[derive(Debug, Clone)]
+pub(crate) struct GaussianDraws {
+    seed: u64,
+    /// Draws indexed by component id; NaN marks one not yet drawn.
+    g: Vec<f64>,
+}
+
+impl GaussianDraws {
+    fn new(seed: u64) -> Self {
+        GaussianDraws {
+            seed,
+            g: Vec::new(),
+        }
+    }
+
+    /// The draw of component `i`.
+    #[inline]
+    fn get(&mut self, i: usize) -> f64 {
+        if i >= self.g.len() {
+            self.g.resize(i + 1, f64::NAN);
+        }
+        let g = &mut self.g[i];
+        if g.is_nan() {
+            *g = Rng64::fork(self.seed, i as u64).gaussian_clamped(3.0);
+        }
+        *g
+    }
+}
 
 /// What the simulator should do with one pulse delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,14 +221,37 @@ impl DeliveryFault {
 }
 
 impl FaultState {
+    #[cfg(test)]
     pub(crate) fn new(plan: FaultPlan) -> Self {
+        FaultState::reusing(plan, None)
+    }
+
+    /// A fresh state for `plan` that keeps `draws` if they were drawn for
+    /// the plan's seed and discards them otherwise.
+    pub(crate) fn reusing(plan: FaultPlan, draws: Option<GaussianDraws>) -> Self {
+        let draws = match draws {
+            Some(draws) if draws.seed == plan.seed => draws,
+            _ => GaussianDraws::new(plan.seed),
+        };
         FaultState {
             plan,
             deliveries: HashMap::new(),
+            draws,
             factors: Vec::new(),
             dropped: 0,
             duplicated: 0,
         }
+    }
+
+    /// Gives up the standard-normal draws, for the next plan to reuse.
+    pub(crate) fn into_draws(self) -> GaussianDraws {
+        self.draws
+    }
+
+    /// Components whose Gaussian draw is cached.
+    #[cfg(test)]
+    pub(crate) fn cached_draws(&self) -> usize {
+        self.draws.g.iter().filter(|g| !g.is_nan()).count()
     }
 
     pub(crate) fn plan(&self) -> &FaultPlan {
@@ -239,8 +298,7 @@ impl FaultState {
         }
         let factor = &mut self.factors[i];
         if *factor == UNDRAWN {
-            let g = Rng64::fork(self.plan.seed, i as u64).gaussian_clamped(3.0);
-            *factor = (1.0 + self.plan.delay_sigma * g).max(0.05);
+            *factor = (1.0 + self.plan.delay_sigma * self.draws.get(i)).max(0.05);
         }
         *factor
     }
@@ -332,6 +390,31 @@ mod tests {
             assert_eq!(st.delay_factor(ComponentId(i)), expect, "component {i}");
         }
         assert_eq!(st.factors.len(), 4097);
+
+        // Across a reset the simulator hands the draws to the next plan:
+        // with the same seed at another σ they are reused and every factor
+        // still equals a fresh draw scaled by the new σ.
+        let draws = st.into_draws();
+        for sigma in [0.31, 0.07] {
+            let plan = FaultPlan::new(seed).with_delay_sigma(sigma);
+            let mut st = FaultState::reusing(plan, Some(draws.clone()));
+            assert_eq!(st.cached_draws(), 5, "same seed keeps the draws");
+            for i in [3u32, 1000, 12, 0] {
+                let g = Rng64::fork(seed, u64::from(i)).gaussian_clamped(3.0);
+                let expect = (1.0 + sigma * g).max(0.05);
+                assert_eq!(
+                    st.delay_factor(ComponentId(i)),
+                    expect,
+                    "σ {sigma}, component {i}"
+                );
+            }
+        }
+        // A new seed discards them.
+        let other = FaultPlan::new(seed + 1).with_delay_sigma(sigma);
+        let mut st = FaultState::reusing(other, Some(draws));
+        assert_eq!(st.cached_draws(), 0, "new seed starts over");
+        let g = Rng64::fork(seed + 1, 3).gaussian_clamped(3.0);
+        assert_eq!(st.delay_factor(ComponentId(3)), (1.0 + sigma * g).max(0.05));
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //!
 //! * `CalendarQueue` — a bucketed timing wheel (the default). Simulation
 //!   time is divided into fixed-width picosecond buckets; pushing an event
-//!   indexes straight into its bucket, popping scans forward from the
-//!   current bucket. Events beyond the wheel's horizon wait in an overflow
-//!   heap and migrate into the wheel as the cursor approaches them. For
-//!   the pulse workloads here (many events clustered within a few
-//!   picoseconds, operations hundreds of picoseconds apart) this replaces
-//!   the `O(log n)` binary-heap sift with `O(1)` pushes and short bucket
-//!   scans.
+//!   links it into its bucket's list in one shared node arena, popping
+//!   drains the first occupied bucket as one sorted batch. Events beyond
+//!   the wheel's horizon wait in an overflow heap and migrate into the
+//!   wheel as the cursor approaches them. For the pulse workloads here
+//!   (many events clustered within a few picoseconds, operations hundreds
+//!   of picoseconds apart) this replaces the `O(log n)` binary-heap sift
+//!   with `O(1)` pushes and short bucket scans.
 //! * `LaneBatchedQueue` — the scheduler-overhaul part-2 design. A much
 //!   smaller wheel (256 × 16 ps, L1-resident) drains a whole same-horizon
 //!   bucket as one ascending-sorted batch served by a cursor, so popping
@@ -303,24 +303,50 @@ const NUM_BUCKETS: usize = 4096;
 /// Words in the bucket-occupancy bitmap (one bit per wheel slot).
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
 
+/// End-of-list marker for the calendar queue's intrusive bucket lists.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the calendar queue's node arena: a pending event and the
+/// index of the next node in the same bucket (or in the free list).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    ev: Event,
+    next: u32,
+}
+
 /// The bucketed calendar queue.
 ///
-/// Buckets are unsorted `Vec`s in a fixed-size array (so the masked index
-/// needs no bounds check), shadowed by an occupancy bitmap — one bit per
-/// wheel slot. Popping *drains in batch*: the first occupied bucket is
-/// found by a word-at-a-time bit scan (instead of probing empty `Vec`s
-/// slot by slot across an operation gap), moved wholesale into a scratch
-/// buffer, sorted once by the total event order (descending, so serving
-/// pops from the tail), and then served event by event — `O(k log k)` per
-/// k-event bucket instead of the `O(k²)` of a per-pop minimum scan.
-/// Same-tick events pushed while the batch is being served merge into the
-/// sorted buffer at their ordered position, so storage order never shows
+/// Every event seated on the wheel lives in one node arena (`nodes`);
+/// each bucket is an intrusive singly linked list through that arena,
+/// rooted in a fixed array of bucket heads and shadowed by an occupancy
+/// bitmap — one bit per wheel slot, and a head is meaningful only while
+/// its bit is set. A push takes a node from the free list (growing the
+/// arena only when the list is empty) and prepends it to its bucket.
+/// Popping *drains in batch*: the first occupied bucket is found by a
+/// word-at-a-time bit scan (instead of probing empty buckets slot by slot
+/// across an operation gap), its list is walked into a reused scratch
+/// buffer and spliced back onto the free list whole, and the batch is
+/// sorted once by the total event order (descending, so serving pops from
+/// the tail) and then served event by event — `O(k log k)` per k-event
+/// bucket instead of the `O(k²)` of a per-pop minimum scan. Same-tick
+/// events pushed while the batch is being served merge into the sorted
+/// buffer at their ordered position, so storage order never shows
 /// through. Events whose bucket lies beyond the wheel horizon wait in
 /// `overflow` (a small heap) and migrate inside the horizon before any
 /// pop that could race them.
+///
+/// Because freed nodes are reused before the arena grows, the arena never
+/// holds more nodes than the most events ever seated on the wheel at
+/// once, however the buckets a run fills shift from run to run.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue {
-    buckets: Box<[Vec<Event>; NUM_BUCKETS]>,
+    /// First node of each bucket's list; valid only where `occupied` has
+    /// the slot's bit set.
+    heads: [u32; NUM_BUCKETS],
+    /// Node arena shared by every bucket list and the free list.
+    nodes: Vec<Node>,
+    /// Head of the free list threaded through `nodes` (`NIL` when empty).
+    free: u32,
     /// One bit per wheel slot: set iff the slot's bucket is non-empty.
     /// Slots empty only via the batch drain, which clears the bit.
     occupied: [u64; OCC_WORDS],
@@ -346,7 +372,9 @@ fn tick_of(ev: &Event) -> u64 {
 impl CalendarQueue {
     fn new() -> Self {
         CalendarQueue {
-            buckets: Box::new([const { Vec::new() }; NUM_BUCKETS]),
+            heads: [NIL; NUM_BUCKETS],
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [0; OCC_WORDS],
             cur_tick: 0,
             in_wheel: 0,
@@ -384,46 +412,92 @@ impl CalendarQueue {
         self.seat(ev);
     }
 
-    /// Places an event relative to the current window.
+    /// Places an event relative to the current window: prepended to its
+    /// bucket's list on a recycled (or, failing that, new) arena node,
+    /// or parked in the overflow heap beyond the horizon.
     #[inline]
     fn seat(&mut self, ev: Event) {
         let tick = tick_of(&ev);
         debug_assert!(tick >= self.cur_tick, "event scheduled behind the cursor");
-        if tick < self.cur_tick + NUM_BUCKETS as u64 {
-            let slot = (tick as usize) & (NUM_BUCKETS - 1);
-            self.buckets[slot].push(ev);
-            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-            self.in_wheel += 1;
-        } else {
+        if tick >= self.cur_tick + NUM_BUCKETS as u64 {
             self.overflow.push(Reverse(ev));
+            return;
         }
+        let slot = (tick as usize) & (NUM_BUCKETS - 1);
+        let bit = 1u64 << (slot & 63);
+        let word = &mut self.occupied[slot >> 6];
+        let next = if *word & bit != 0 {
+            self.heads[slot]
+        } else {
+            NIL
+        };
+        *word |= bit;
+        let node = Node { ev, next };
+        let at = if self.free != NIL {
+            let at = self.free;
+            self.free = self.nodes[at as usize].next;
+            self.nodes[at as usize] = node;
+            at
+        } else {
+            let at = self.nodes.len();
+            assert!(
+                at < NIL as usize,
+                "calendar queue arena exceeds u32 indices"
+            );
+            self.nodes.push(node);
+            at as u32
+        };
+        self.heads[slot] = at;
+        self.in_wheel += 1;
+    }
+
+    /// Moves the events of the occupied bucket at `slot` onto the end of
+    /// `out`, clears the slot's bit, and returns the bucket's nodes to the
+    /// free list in one splice.
+    #[inline]
+    fn take_bucket(&mut self, slot: usize, out: &mut Vec<Event>) {
+        let head = self.heads[slot];
+        let mut at = head;
+        let mut last = head;
+        let before = out.len();
+        while at != NIL {
+            let node = self.nodes[at as usize];
+            out.push(node.ev);
+            last = at;
+            at = node.next;
+        }
+        self.nodes[last as usize].next = self.free;
+        self.free = head;
+        self.in_wheel -= out.len() - before;
+        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
     }
 
     /// Drains every pending event (including a half-served drain buffer)
     /// and re-seats it against a window starting at `new_tick`.
     fn rebuild_at(&mut self, new_tick: u64) {
-        let mut pending: Vec<Event> = Vec::with_capacity(self.len());
-        pending.append(&mut self.drain);
-        for bucket in self.buckets.iter_mut() {
-            pending.append(bucket);
+        // The drain buffer doubles as the collection scratch: it already
+        // holds the half-served batch, and re-seating leaves it empty.
+        let mut pending = std::mem::take(&mut self.drain);
+        for w in 0..OCC_WORDS {
+            while self.occupied[w] != 0 {
+                let slot = w << 6 | self.occupied[w].trailing_zeros() as usize;
+                self.take_bucket(slot, &mut pending);
+            }
         }
         pending.extend(self.overflow.drain().map(|Reverse(ev)| ev));
-        self.occupied = [0; OCC_WORDS];
-        self.in_wheel = 0;
         self.cur_tick = new_tick;
-        for ev in pending {
+        for &ev in &pending {
             self.seat(ev);
         }
+        pending.clear();
+        self.drain = pending;
     }
 
-    /// Discards every pending event and rewinds the window to tick zero.
-    /// The bucket array, drain buffer and overflow heap keep their
-    /// storage; the buckets' own storage is released (see
-    /// [`Queue::clear`]).
+    /// Discards every pending event and rewinds the window to tick zero,
+    /// keeping the node arena, drain buffer and overflow heap storage.
     fn clear(&mut self) {
-        for bucket in self.buckets.iter_mut() {
-            *bucket = Vec::new();
-        }
+        self.nodes.clear();
+        self.free = NIL;
         self.occupied = [0; OCC_WORDS];
         self.cur_tick = 0;
         self.in_wheel = 0;
@@ -485,13 +559,19 @@ impl CalendarQueue {
         let cur_slot = (self.cur_tick as usize) & (NUM_BUCKETS - 1);
         self.cur_tick += self.next_occupied_distance(cur_slot) as u64;
         let slot = (self.cur_tick as usize) & (NUM_BUCKETS - 1);
-        let bucket = &mut self.buckets[slot];
-        self.in_wheel -= bucket.len();
-        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-        std::mem::swap(&mut self.drain, bucket);
-        self.drain
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        Some(self.drain.pop().expect("bucket non-empty"))
+        let mut drain = std::mem::take(&mut self.drain);
+        self.take_bucket(slot, &mut drain);
+        drain.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        let ev = drain.pop().expect("bucket non-empty");
+        self.drain = drain;
+        Some(ev)
+    }
+
+    /// Nodes the arena can hold without reallocating — what a cleared or
+    /// long-lived queue retains for its wheel.
+    #[cfg(test)]
+    fn node_capacity(&self) -> usize {
+        self.nodes.capacity()
     }
 }
 
@@ -952,13 +1032,16 @@ impl Queue {
     }
 
     /// Discards every pending event and returns the scheduler to its
-    /// freshly built state, reusing its storage — except the wheel
-    /// buckets'. Which buckets a run fills depends on where its events
-    /// fall modulo the wheel, which shifts from run to run, so retained
-    /// bucket capacities would add up to the union of every run's
-    /// occupancy: on a 16×16 HiPerRF the calendar wheel's retained
-    /// capacity grew from 30 k to 127 k events over 20 soaks. Released,
-    /// a reused queue holds no more memory than a new one.
+    /// freshly built state, reusing its storage.
+    ///
+    /// The calendar queue keeps its node arena, drain buffer and overflow
+    /// heap. Its buckets are lists through the one arena, so what it
+    /// retains is bounded by the most events it ever held on the wheel at
+    /// once, not by which buckets past runs filled. The heap keeps its
+    /// storage. The lane-batched queue keeps everything but its wheel
+    /// buckets: they are per-bucket `Vec`s, and which buckets a run fills
+    /// shifts from run to run, so retained capacities would add up to the
+    /// union of every run's occupancy.
     pub fn clear(&mut self) {
         match self {
             Queue::Wheel(q) => q.clear(),
@@ -1266,6 +1349,71 @@ mod tests {
             assert!(reused.is_empty(), "{kind}");
             assert_eq!(script(&mut reused), expect, "{kind}");
         }
+    }
+
+    #[test]
+    fn calendar_storage_stays_bounded_by_peak_pending() {
+        // Many runs on one queue, each starting at a seeded wheel slot so
+        // its bursts land on different buckets, with echo pushes while
+        // serving, some runs cleared mid-serve, and one 8 k-event
+        // same-tick burst. Retained node storage must track the most
+        // events ever pending at once, not the union of buckets touched.
+        let mut rng = crate::rng::Rng64::new(0x5107);
+        let mut q = Queue::new(SchedulerKind::CalendarQueue);
+        let mut heap = Queue::new(SchedulerKind::ReferenceHeap);
+        let mut peak = 0;
+        for run in 0..48u64 {
+            let base_fs = (run * 4_099 + rng.next_below(NUM_BUCKETS) as u64) * BUCKET_WIDTH_FS;
+            let same_tick = run == 17;
+            let burst = if same_tick {
+                8_192
+            } else {
+                64 + rng.next_below(960)
+            };
+            let mut seq = 0u64;
+            let mut push =
+                |q: &mut Queue, heap: &mut Queue, t: u64, rng: &mut crate::rng::Rng64| {
+                    let e = torture::event(t, rng.next_below(64) as u32, seq);
+                    seq += 1;
+                    q.push(e);
+                    heap.push(e);
+                    q.len()
+                };
+            for _ in 0..burst {
+                let t = if same_tick {
+                    base_fs
+                } else {
+                    base_fs + rng.next_below(3_000_000) as u64
+                };
+                peak = peak.max(push(&mut q, &mut heap, t, &mut rng));
+            }
+            let stop_after = if run % 5 == 3 { burst / 2 } else { usize::MAX };
+            let mut served = 0;
+            while served < stop_after {
+                let Some(e) = heap.pop() else { break };
+                assert_eq!(q.pop(), Some(e), "run {run}");
+                served += 1;
+                if rng.next_f64() < 0.4 {
+                    let t = e.time_fs() + rng.next_below(5_000) as u64;
+                    peak = peak.max(push(&mut q, &mut heap, t, &mut rng));
+                }
+            }
+            for cleared in [false, true] {
+                if cleared {
+                    q.clear();
+                    heap.clear();
+                }
+                let Queue::Wheel(w) = &q else {
+                    unreachable!("calendar queue")
+                };
+                assert!(
+                    w.node_capacity() <= 2 * peak,
+                    "run {run} (cleared: {cleared}): {} nodes retained for a peak of {peak} pending",
+                    w.node_capacity()
+                );
+            }
+        }
+        assert!(peak >= 8_192, "the same-tick burst was pending at once");
     }
 
     #[test]

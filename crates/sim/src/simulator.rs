@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use crate::compiled::{CompiledNetlist, EngineKind, PowerOnImage, SLOT_BYTES};
 use crate::component::{CellLabel, PulseContext};
-use crate::fault::{FaultPlan, FaultState};
+use crate::fault::{FaultPlan, FaultState, GaussianDraws};
 use crate::layout::{CellLayout, LayoutKind};
 use crate::netlist::{Netlist, Pin};
 use crate::queue::{Event, Queue, SchedulerKind};
@@ -138,6 +138,10 @@ pub struct Simulator {
     /// Cell state before the first delivery, recorded by the first run
     /// (or the first [`Simulator::reset`]) — what a reset returns to.
     power_on: Option<PowerOnImage>,
+    /// Standard-normal draws of the plan removed by the last
+    /// [`Simulator::reset`], handed to the next plan if it has the same
+    /// seed.
+    spare_draws: Option<GaussianDraws>,
 }
 
 impl Simulator {
@@ -179,6 +183,7 @@ impl Simulator {
             compiled: None,
             emit_scratch: Vec::new(),
             power_on: None,
+            spare_draws: None,
         }
     }
 
@@ -292,6 +297,11 @@ impl Simulator {
     /// its pin faults and delay variation to all subsequent deliveries.
     /// Replaces any previously installed plan (counters reset).
     ///
+    /// A plan with the same seed as the one the last
+    /// [`reset`](Simulator::reset) removed reuses that plan's per-component
+    /// Gaussian draws: only its σ scaling is recomputed, and every delay
+    /// factor is bit-identical to a fresh draw.
+    ///
     /// # Panics
     ///
     /// Panics if a spurious pulse is planned before the current time.
@@ -299,7 +309,7 @@ impl Simulator {
         for &(pin, at) in plan.spurious_pulses() {
             self.inject(pin, at);
         }
-        self.fault = Some(FaultState::new(plan));
+        self.fault = Some(FaultState::reusing(plan, self.spare_draws.take()));
     }
 
     /// The installed fault plan, if any.
@@ -478,8 +488,10 @@ impl Simulator {
     /// simulator over the same netlist: cell state returns to what it was
     /// before the first delivery; the queue is emptied and the clock,
     /// sequence counter, [`SimStats`], violations, probe traces and
-    /// degraded-drop count return to zero; the fault plan is removed and
-    /// the violation policy returns to [`ViolationPolicy::Record`].
+    /// degraded-drop count return to zero; the fault plan is removed (its
+    /// Gaussian draws are kept for a next plan with the same seed, see
+    /// [`set_fault_plan`](Simulator::set_fault_plan)) and the violation
+    /// policy returns to [`ViolationPolicy::Record`].
     /// Scheduler, engine, placement and event budget are configuration
     /// and stay as set.
     ///
@@ -511,7 +523,9 @@ impl Simulator {
         self.violations.clear();
         self.clear_all_probes();
         self.degraded_drops = 0;
-        self.fault = None;
+        if let Some(fault) = self.fault.take() {
+            self.spare_draws = Some(fault.into_draws());
+        }
         self.policy = ViolationPolicy::Record;
     }
 
@@ -816,8 +830,21 @@ fn scale_emission(at: Time, delivered: Time, factor: f64) -> Time {
         return at;
     }
     let lag_fs = at.as_fs().saturating_sub(delivered.as_fs());
-    let scaled = (lag_fs as f64 * factor).round().max(0.0) as u64;
-    Time::from_fs(delivered.as_fs() + scaled)
+    Time::from_fs(delivered.as_fs() + round_non_negative(lag_fs as f64 * factor))
+}
+
+/// `x.round().max(0.0) as u64` without the libm call: the truncation is
+/// exact for `0 ≤ x < 2^53` and so is the fraction `x - t`, which rounds
+/// half away from zero like [`f64::round`]. Above 2^53 every `f64` is an
+/// integer and the fraction is zero; negative and NaN inputs give 0.
+#[inline]
+fn round_non_negative(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t + 1
+    } else {
+        t
+    }
 }
 
 #[cfg(test)]
@@ -1370,6 +1397,118 @@ mod tests {
         let at = a[0].as_ps();
         assert!(at > 2.0 && at < 12.0, "arrival {at}");
         assert_ne!(a[0], Time::from_ps(5.5));
+    }
+
+    #[test]
+    fn reset_hands_gaussian_draws_to_a_same_seed_plan_only() {
+        use crate::compiled::{CellOp, Lowered};
+        use crate::fault::FaultPlan;
+        /// [`Repeater`] with a lowering, so its simulator can reset.
+        #[derive(Debug)]
+        struct Jtl;
+        impl Component for Jtl {
+            fn kind(&self) -> &'static str {
+                "jtl"
+            }
+            fn pulse(&mut self, _pin: u8, now: Time, ctx: &mut PulseContext<'_>) {
+                ctx.emit_after(0, now, Duration::from_ps(1.0));
+            }
+            fn lower(&self) -> Option<Lowered> {
+                Some(Lowered::stateless(CellOp::Jtl {
+                    delay: Duration::from_ps(1.0),
+                }))
+            }
+        }
+        let chain = |len: usize| {
+            let mut n = Netlist::new();
+            let ids: Vec<_> = (0..len)
+                .map(|i| n.add(format!("j{i}"), Box::new(Jtl) as _))
+                .collect();
+            for w in ids.windows(2) {
+                n.connect(Pin::new(w[0], 0), Pin::new(w[1], 0), Duration::from_ps(0.5));
+            }
+            (
+                Simulator::new(n),
+                Pin::new(ids[0], 0),
+                Pin::new(ids[len - 1], 0),
+            )
+        };
+        let (mut sim, first, last) = chain(4);
+        let probe = sim.probe(last, "end");
+        let run = |sim: &mut Simulator, seed: u64, sigma: f64| {
+            sim.reset();
+            sim.set_fault_plan(FaultPlan::new(seed).with_delay_sigma(sigma));
+            sim.inject(first, Time::ZERO);
+            sim.run();
+            let cached = sim.fault.as_ref().map_or(0, |f| f.cached_draws());
+            (sim.probe_trace(probe).pulses().to_vec(), cached)
+        };
+        let fresh = |seed: u64, sigma: f64| {
+            let (mut sim, first, last) = chain(4);
+            let probe = sim.probe(last, "end");
+            sim.set_fault_plan(FaultPlan::new(seed).with_delay_sigma(sigma));
+            sim.inject(first, Time::ZERO);
+            sim.run();
+            sim.probe_trace(probe).pulses().to_vec()
+        };
+        assert_eq!(run(&mut sim, 5, 0.2), (fresh(5, 0.2), 4));
+        // Same seed, other σ: the four draws carry over, the trace matches
+        // a fresh simulator's.
+        assert!(sim.spare_draws.is_none());
+        sim.reset();
+        assert!(sim.spare_draws.is_some(), "reset keeps the draws");
+        assert_eq!(run(&mut sim, 5, 0.1), (fresh(5, 0.1), 4));
+        // A plan that needs no factors leaves the cache as it was.
+        assert_eq!(run(&mut sim, 5, 0.0).1, 4);
+        // A new seed starts from an empty cache.
+        assert_eq!(run(&mut sim, 6, 0.2), (fresh(6, 0.2), 4));
+        sim.reset();
+        sim.set_fault_plan(FaultPlan::new(7));
+        assert_eq!(sim.fault.as_ref().map(|f| f.cached_draws()), Some(0));
+    }
+
+    #[test]
+    fn integer_rounding_matches_f64_round() {
+        let reference = |x: f64| x.round().max(0.0) as u64;
+        let ties = [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64 + 1.0,
+            (1u64 << 53) as f64,
+            (1u64 << 57) as f64,
+        ];
+        for x in ties {
+            assert_eq!(round_non_negative(x), reference(x), "{x:?}");
+        }
+        assert_eq!(round_non_negative(0.49999999999999994), 0);
+        assert_eq!(round_non_negative(-0.7), 0);
+        assert_eq!(round_non_negative(f64::NAN), 0);
+        // Seeded lags (sub-ps to the 56-bit packing limit) and factors in
+        // the delay-factor range, through the emission scaling itself.
+        let mut rng = crate::rng::Rng64::new(0x0E0E);
+        for i in 0..200_000 {
+            let bits = 1 + rng.next_below(56) as u32;
+            let lag = rng.next_u64() >> (64 - bits);
+            let factor = if i % 4 == 0 {
+                // Exact half-way products: an odd lag times 0.5 or 1.5.
+                [0.5, 1.5][rng.next_below(2)]
+            } else {
+                0.05 + 1.85 * rng.next_f64()
+            };
+            let delivered = Time::from_fs(rng.next_u64() >> 10);
+            let at = Time::from_fs(delivered.as_fs() + lag);
+            let expect = delivered.as_fs() + reference(lag as f64 * factor);
+            assert_eq!(
+                scale_emission(at, delivered, factor).as_fs(),
+                expect,
+                "lag {lag} fs × {factor:?}"
+            );
+        }
     }
 }
 

@@ -181,16 +181,24 @@ if [ -z "$BASE_DIGEST" ] || [ "$BASE_DIGEST" != "$RESUME_DIGEST" ]; then
 fi
 echo "crash recovery: resumed digest matches uninterrupted run ($BASE_DIGEST)"
 
-echo "== repo benchmark (build, unit tests, yield-16x16 correctness gates) =="
+echo "== repo benchmark (build, unit tests, yield/soak/serve correctness gates) =="
 # The benchmark is its own cargo package that drives the crates through
-# their public API only. A short yield run exits nonzero when any of its
-# correctness gates fails (well-formed curves, shard reassembly, the seed-1
-# criticals golden), so a public-API break or a change in margin results
-# fails here instead of in the next benchmark run.
+# their public API only. Each short run exits nonzero when any of its
+# correctness gates fails, so a public-API break or a change in results or
+# simulated work fails here instead of in the next benchmark run:
+# - yield-16x16: well-formed curves, shard reassembly, the seed-1
+#   criticals golden;
+# - soak-256x64: the seed-1 work goldens (events, slot bytes, fan-out
+#   rows, peak queue depth) of every design, so a scheduler change that
+#   alters the simulated work fails;
+# - serve-mixed: every served result digest equals a direct
+#   `job::run_shard` computation of the same job.
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
-cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload yield-16x16 --seed 1 --seconds 5 --trace 0 > /dev/null
+for workload in yield-16x16 soak-256x64 serve-mixed; do
+    cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 5 --trace 0 > /dev/null
+done
 
 echo "== docs (deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
